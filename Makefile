@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz FuzzFromTiles -fuzztime 15s ./internal/puzzle
 	$(GO) test -run=xxx -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/checkpoint
 	$(GO) test -run=xxx -fuzz FuzzDecodeStealFrame -fuzztime 30s ./internal/steal
+	$(GO) test -run=xxx -fuzz FuzzDecodeStealRound -fuzztime 30s ./internal/steal
 	$(GO) test -run=xxx -fuzz FuzzDecodeSpillSegment -fuzztime 30s ./internal/spill
 
 vet:

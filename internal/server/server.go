@@ -225,9 +225,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/steal/sessions/{sid}/step", s.stealOp(opStep))
 	mux.HandleFunc("GET /v1/steal/sessions/{sid}/flags", s.stealOp(opFlags))
 	mux.HandleFunc("GET /v1/steal/sessions/{sid}/status", s.stealOp(opStatus))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/transfer", s.stealOp(opTransfer))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/split", s.stealOp(opSplit))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/absorb", s.stealOp(opAbsorb))
+	mux.HandleFunc("POST /v1/steal/sessions/{sid}/round", s.stealOp(opBatch(false)))
+	mux.HandleFunc("POST /v1/steal/sessions/{sid}/absorb", s.stealOp(opBatch(true)))
 	mux.HandleFunc("GET /v1/steal/sessions/{sid}/export", s.stealOp(opExport))
 	mux.HandleFunc("POST /v1/steal/sessions/{sid}/merge", s.stealOp(opMerge))
 	mux.HandleFunc("PUT /v1/steal/sessions/{sid}/checkpoint", s.handleStealCheckpoint)

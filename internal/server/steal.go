@@ -330,7 +330,7 @@ func opStep(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Reques
 
 func opFlags(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
 	busy, idle := sess.host.Flags()
-	writeJSON(w, http.StatusOK, steal.FlagsResponse{Busy: busy, Idle: idle})
+	writeBatchResult(w, &steal.BatchResult{Busy: busy, Idle: idle})
 }
 
 func opStatus(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
@@ -338,48 +338,56 @@ func opStatus(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Requ
 	writeJSON(w, http.StatusOK, steal.StatusResponse{AllEmpty: allEmpty, AnyDonor: anyDonor})
 }
 
-func opTransfer(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	var req steal.TransferRequest
-	if !decodeStealBody(w, r, &req) {
-		return
+// opBatch answers POST .../round (a round's local transfers and
+// donor-side splits) and, with absorb set, POST .../absorb (the frames
+// addressed to the shard).  The host validates the whole batch before it
+// applies any of it, so a refused batch is a 400 that changed nothing.
+// The frame counters count frames, not batches.
+func opBatch(absorb bool) stealOpFunc {
+	return func(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, steal.MaxBatchSize))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading batch: %v", err))
+			return
+		}
+		b, err := steal.DecodeBatch(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		if absorb && len(b.Ops) > 0 || !absorb && len(b.Frames) > 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("%d ops and %d frames sent to the wrong endpoint", len(b.Ops), len(b.Frames)))
+			return
+		}
+		res, err := sess.host.Apply(*b)
+		if err != nil {
+			code := http.StatusInternalServerError
+			if errors.Is(err, steal.ErrBadBatch) {
+				code = http.StatusBadRequest
+			}
+			writeError(w, code, err.Error())
+			return
+		}
+		for _, stack := range res.Stacks {
+			if stack != nil {
+				s.ctr.stealFramesSplit.Add(1)
+			}
+		}
+		s.ctr.stealFramesAbsorbed.Add(int64(len(res.Absorbed)))
+		writeBatchResult(w, &res)
 	}
-	moved, err := sess.host.Transfer(req.From, req.To)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
 }
 
-func opSplit(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	var req steal.SplitRequest
-	if !decodeStealBody(w, r, &req) {
-		return
-	}
-	payload, moved, err := sess.host.Split(req.Donation, req.From, req.To)
+// writeBatchResult answers with a binary batch result.
+func writeBatchResult(w http.ResponseWriter, res *steal.BatchResult) {
+	b, err := steal.EncodeBatchResult(res)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if moved > 0 {
-		s.ctr.stealFramesSplit.Add(1)
-	}
-	writeJSON(w, http.StatusOK, steal.SplitResponse{Moved: moved, Stack: payload})
-}
-
-func opAbsorb(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, steal.MaxFrameSize))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
-		return
-	}
-	moved, err := sess.host.Absorb(frame)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.ctr.stealFramesAbsorbed.Add(1)
-	writeJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
+	w.Header().Set("Content-Type", steal.BatchContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
 }
 
 func opExport(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {

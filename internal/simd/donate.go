@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"errors"
 	"fmt"
 
 	"simdtree/internal/stack"
@@ -14,6 +15,18 @@ import (
 // happen only at cycle boundaries, mirror the exact stack operations of a
 // local transfer (Context.transferNodes), and never touch the machine's
 // own schedule ledger, which a distributed run keeps on the coordinator.
+
+// Classified errors of the cycle-boundary transfer surface; callers test
+// them with errors.Is.
+var (
+	// ErrSelfTransfer rejects a transfer or donation whose donor and
+	// receiver are the same PE: splitting a stack onto itself moves
+	// nothing but would still report the split half as moved.
+	ErrSelfTransfer = errors.New("simd: donor and receiver are the same PE")
+	// ErrReceiverBusy rejects a transfer or absorb into a PE that still
+	// holds work; a load-balancing phase only ever fills idle PEs.
+	ErrReceiverBusy = errors.New("simd: receiver PE is not idle")
+)
 
 // CycleInfo is the globally reducible result of one driven expansion
 // cycle: exactly the quantities the run loop derives from a cycle before
@@ -94,10 +107,18 @@ func (m *Machine[S]) InstallStack(pe int, s *stack.Stack[S]) error {
 // PEs of this machine, using the scheme's splitter exactly like a
 // load-balancing phase does, without touching the phase accounting (a
 // distributed run accounts on the coordinator).  It returns the number of
-// stack nodes moved; a donor that cannot split moves nothing.
+// stack nodes moved; a donor that cannot split moves nothing.  A transfer
+// onto the donor itself fails with ErrSelfTransfer and one into a PE that
+// holds work with ErrReceiverBusy.
 func (m *Machine[S]) TransferLocal(from, to int) (int, error) {
 	if from < 0 || from >= m.opts.P || to < 0 || to >= m.opts.P {
 		return 0, fmt.Errorf("simd: transfer %d->%d out of range [0, %d)", from, to, m.opts.P)
+	}
+	if from == to {
+		return 0, fmt.Errorf("%w: transfer %d->%d", ErrSelfTransfer, from, to)
+	}
+	if !m.arena.Empty(to) {
+		return 0, fmt.Errorf("%w: transfer target PE %d holds %d nodes", ErrReceiverBusy, to, m.arena.Size(to))
 	}
 	if err := m.faultFull(from); err != nil {
 		return 0, err
@@ -125,10 +146,14 @@ type Donation[S any] struct {
 // donated half as a Donation addressed to PE to, leaving the donor's
 // remainder in place — the cross-machine analogue of the donor side of
 // Context.Transfer.  A donor that cannot split returns an empty donation
-// (Stack.Size() == 0) and no error.  Only valid at a cycle boundary.
+// (Stack.Size() == 0) and no error; a donation addressed to the donor
+// itself fails with ErrSelfTransfer.  Only valid at a cycle boundary.
 func (m *Machine[S]) Donate(id uint64, from, to int) (Donation[S], error) {
 	if from < 0 || from >= m.opts.P {
 		return Donation[S]{}, fmt.Errorf("simd: donor PE %d out of range [0, %d)", from, m.opts.P)
+	}
+	if from == to {
+		return Donation[S]{}, fmt.Errorf("%w: donation %d addressed to its donor PE %d", ErrSelfTransfer, id, from)
 	}
 	d := Donation[S]{ID: id, From: from, To: to, Stack: stack.New[S]()}
 	if !m.arena.Splittable(from) {
@@ -164,7 +189,7 @@ func (m *Machine[S]) Absorb(d Donation[S]) (int, error) {
 		return 0, nil
 	}
 	if !m.arena.Empty(d.To) {
-		return 0, fmt.Errorf("simd: absorb target PE %d is not idle (%d nodes)", d.To, m.arena.Size(d.To))
+		return 0, fmt.Errorf("%w: absorb target PE %d holds %d nodes", ErrReceiverBusy, d.To, m.arena.Size(d.To))
 	}
 	m.absorbInstall(d.To, d.Stack)
 	return d.Stack.Size(), nil

@@ -11,6 +11,7 @@ import (
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/match"
 	"simdtree/internal/metrics"
+	"simdtree/internal/scan"
 	"simdtree/internal/simd"
 	"simdtree/internal/topology"
 	"simdtree/internal/trace"
@@ -33,7 +34,80 @@ type Shard interface {
 	Status(ctx context.Context) (allEmpty, anyDonor bool, err error)
 }
 
-// LocalShard adapts an in-process Host to the Shard interface; the
+// BatchShard is a Shard that takes a whole matching round per call: one
+// Apply carries every local transfer and donor-side split of the shard,
+// another every frame addressed to it.  LocalShard and *HTTPShard
+// implement it natively; the driver runs any other Shard through
+// perPair, which loops the same batches one pair at a time.
+type BatchShard interface {
+	Shard
+	Apply(ctx context.Context, b Batch) (BatchResult, error)
+}
+
+// perPair adapts a Shard without a native Apply: identical results, one
+// call per pair plus one Flags call when the batch asks for flags.
+type perPair struct{ Shard }
+
+func (s perPair) Apply(ctx context.Context, b Batch) (BatchResult, error) {
+	var r BatchResult
+	for _, op := range b.Ops {
+		var stack []byte
+		var n int
+		var err error
+		if op.Split {
+			stack, n, err = s.Split(ctx, op.Donation, op.From, op.To)
+		} else {
+			n, err = s.Transfer(ctx, op.From, op.To)
+		}
+		if err != nil {
+			return BatchResult{}, err
+		}
+		r.Moved, r.Stacks = append(r.Moved, n), append(r.Stacks, stack)
+	}
+	for _, f := range b.Frames {
+		n, err := s.Absorb(ctx, f)
+		if err != nil {
+			return BatchResult{}, err
+		}
+		r.Absorbed = append(r.Absorbed, n)
+	}
+	if b.WantFlags {
+		var err error
+		if r.Busy, r.Idle, err = s.Flags(ctx); err != nil {
+			return BatchResult{}, err
+		}
+	}
+	return r, nil
+}
+
+// The per-pair Shard operations of the batch shards are one-element
+// batches.
+
+func transferOne(ctx context.Context, s BatchShard, from, to int) (int, error) {
+	r, err := s.Apply(ctx, Batch{Ops: []Op{{From: from, To: to}}})
+	if err != nil {
+		return 0, err
+	}
+	return r.Moved[0], nil
+}
+
+func splitOne(ctx context.Context, s BatchShard, id uint64, from, to int) ([]byte, int, error) {
+	r, err := s.Apply(ctx, Batch{Ops: []Op{{Split: true, Donation: id, From: from, To: to}}})
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.Stacks[0], r.Moved[0], nil
+}
+
+func absorbOne(ctx context.Context, s BatchShard, frame []byte) (int, error) {
+	r, err := s.Apply(ctx, Batch{Frames: [][]byte{frame}})
+	if err != nil {
+		return 0, err
+	}
+	return r.Absorbed[0], nil
+}
+
+// LocalShard adapts an in-process Host to the BatchShard interface; the
 // context is ignored because nothing blocks.
 type LocalShard struct{ H Host }
 
@@ -45,14 +119,17 @@ func (s LocalShard) Flags(context.Context) ([]bool, []bool, error) {
 	busy, idle := s.H.Flags()
 	return busy, idle, nil
 }
-func (s LocalShard) Transfer(_ context.Context, from, to int) (int, error) {
-	return s.H.Transfer(from, to)
+func (s LocalShard) Apply(_ context.Context, b Batch) (BatchResult, error) {
+	return s.H.Apply(b)
 }
-func (s LocalShard) Split(_ context.Context, id uint64, from, to int) ([]byte, int, error) {
-	return s.H.Split(id, from, to)
+func (s LocalShard) Transfer(ctx context.Context, from, to int) (int, error) {
+	return transferOne(ctx, s, from, to)
 }
-func (s LocalShard) Absorb(_ context.Context, frame []byte) (int, error) {
-	return s.H.Absorb(frame)
+func (s LocalShard) Split(ctx context.Context, id uint64, from, to int) ([]byte, int, error) {
+	return splitOne(ctx, s, id, from, to)
+}
+func (s LocalShard) Absorb(ctx context.Context, frame []byte) (int, error) {
+	return absorbOne(ctx, s, frame)
 }
 func (s LocalShard) Export(context.Context) ([][]byte, []byte, error) {
 	return s.H.Export()
@@ -124,6 +201,9 @@ type Result struct {
 	Donations int
 	// LocalTransfers counts the transfers that stayed within one shard.
 	LocalTransfers int
+	// Rounds counts the matching rounds that matched at least one pair;
+	// each costs every shard at most one round and one absorb call.
+	Rounds int
 }
 
 // Driver replicates the engine's run loop over remote shards: it owns the
@@ -131,11 +211,12 @@ type Result struct {
 // GP pointer) seeded from the donated checkpoint, steps every shard one
 // cycle per iteration, and performs load-balancing phases by assembling
 // global busy/idle flags, matching them exactly as a single machine
-// would, and executing each matched pair as a local transfer or a
-// cross-node donation frame.
+// would, and executing each matching round as one batch per donor shard
+// (local transfers and donor-side splits) followed by one batch per
+// receiving shard (the donation frames).
 type Driver struct {
 	cfg    Config
-	shards []Shard
+	shards []BatchShard
 	// shardOf maps a global PE index to its shard's index.
 	shardOf []int
 
@@ -165,13 +246,24 @@ type Driver struct {
 
 	donations      int
 	localTransfers int
+	rounds         int
 
 	// Reusable scratch for the per-cycle fan-out and the per-phase global
 	// flag assembly.
 	infos       []simd.CycleInfo
-	stepErrs    []error
+	errs        []error
 	busy, idle  []bool
 	shardActive []int
+
+	// Per-round scratch: each shard's round and absorb batches and
+	// results, each pair's index in its donor's round batch, the pair of
+	// each frame in a shard's absorb batch, and the nodes each pair moved.
+	roundBatches  []Batch
+	absorbBatches []Batch
+	results       []BatchResult
+	slot          []int
+	framePair     [][]int
+	moved         []int
 }
 
 // NewDriver validates the shard tiling and seeds the schedule ledger from
@@ -218,9 +310,17 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 		}
 	}
 
+	batchShards := make([]BatchShard, len(shards))
+	for i, sh := range shards {
+		if bs, ok := sh.(BatchShard); ok {
+			batchShards[i] = bs
+		} else {
+			batchShards[i] = perPair{sh}
+		}
+	}
 	d := &Driver{
 		cfg:     cfg,
-		shards:  shards,
+		shards:  batchShards,
 		shardOf: shardOf,
 		costs:   cfg.Costs.Normalized(),
 		topo:    cfg.Topology,
@@ -238,10 +338,15 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 		tr:           snap.Trace,
 
 		infos:       make([]simd.CycleInfo, len(shards)),
-		stepErrs:    make([]error, len(shards)),
+		errs:        make([]error, len(shards)),
 		busy:        make([]bool, cfg.P),
 		idle:        make([]bool, cfg.P),
 		shardActive: make([]int, len(shards)),
+
+		roundBatches:  make([]Batch, len(shards)),
+		absorbBatches: make([]Batch, len(shards)),
+		results:       make([]BatchResult, len(shards)),
+		framePair:     make([][]int, len(shards)),
 	}
 	if d.topo == nil {
 		d.topo = topology.CM2{}
@@ -283,6 +388,7 @@ func (d *Driver) result() Result {
 		Trace:          d.tr,
 		Donations:      d.donations,
 		LocalTransfers: d.localTransfers,
+		Rounds:         d.rounds,
 	}
 }
 
@@ -398,7 +504,7 @@ func (d *Driver) stepAll(ctx context.Context) (int, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d.infos[i], d.stepErrs[i] = d.shards[i].Step(ctx)
+			d.infos[i], d.errs[i] = d.shards[i].Step(ctx)
 		}(i)
 	}
 	wg.Wait()
@@ -407,7 +513,7 @@ func (d *Driver) stepAll(ctx context.Context) (int, error) {
 	allEmpty, anyDonor := true, false
 	peak := 0
 	for i, info := range d.infos {
-		if err := d.stepErrs[i]; err != nil {
+		if err := d.errs[i]; err != nil {
 			return 0, fmt.Errorf("steal: shard %d step: %w", i, err)
 		}
 		active += info.Active
@@ -496,51 +602,55 @@ func (d *Driver) recordSample(st trigger.State) {
 }
 
 // gatherFlags assembles the global busy/idle flags from every shard.
-func (d *Driver) gatherFlags(ctx context.Context) ([]bool, []bool, error) {
-	type flagRes struct {
-		busy, idle []bool
-		err        error
-	}
+func (d *Driver) gatherFlags(ctx context.Context) error {
+	type flagRes struct{ busy, idle []bool }
 	res := make([]flagRes, len(d.shards))
 	var wg sync.WaitGroup
 	for i := range d.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var fr flagRes
-			fr.busy, fr.idle, fr.err = d.shards[i].Flags(ctx)
-			res[i] = fr
+			res[i].busy, res[i].idle, d.errs[i] = d.shards[i].Flags(ctx)
 		}(i)
 	}
 	wg.Wait()
 	for i, fr := range res {
-		lo, hi := d.shards[i].Range()
-		if fr.err != nil {
-			return nil, nil, fmt.Errorf("steal: shard %d flags: %w", i, fr.err)
+		if err := d.errs[i]; err != nil {
+			return fmt.Errorf("steal: shard %d flags: %w", i, err)
 		}
-		if len(fr.busy) != hi-lo || len(fr.idle) != hi-lo {
-			return nil, nil, fmt.Errorf("steal: shard %d returned %d/%d flags for a %d-PE range", i, len(fr.busy), len(fr.idle), hi-lo)
+		if err := d.setFlags(i, fr.busy, fr.idle); err != nil {
+			return err
 		}
-		copy(d.busy[lo:hi], fr.busy)
-		copy(d.idle[lo:hi], fr.idle)
 	}
-	return d.busy, d.idle, nil
+	return nil
+}
+
+// setFlags copies shard i's flags into the global busy/idle vectors.
+func (d *Driver) setFlags(i int, busy, idle []bool) error {
+	lo, hi := d.shards[i].Range()
+	if len(busy) != hi-lo || len(idle) != hi-lo {
+		return fmt.Errorf("steal: shard %d returned %d/%d flags for a %d-PE range", i, len(busy), len(idle), hi-lo)
+	}
+	copy(d.busy[lo:hi], busy)
+	copy(d.idle[lo:hi], idle)
+	return nil
 }
 
 // balance replicates one load-balancing phase: MatchBalancer.Balance's
 // round loop with the matcher run on globally assembled flags, each
-// matched pair executed as a local transfer or a cross-node donation, and
-// the exact accounting of Machine.balance.
+// matching round executed by round, and the exact accounting of
+// Machine.balance.  The flags are gathered once per phase; a multi-round
+// scheme matches each later round on the flags the round's batches
+// returned.
 func (d *Driver) balance(ctx context.Context, initPhase bool) error {
 	recordDonors := d.tr.WantDonors()
 	var donors []int
 	rounds, transfers, maxTransfer := 0, 0, 0
+	if err := d.gatherFlags(ctx); err != nil {
+		return err
+	}
 	for {
-		busy, idle, err := d.gatherFlags(ctx)
-		if err != nil {
-			return err
-		}
-		pairs := d.mtchr.Match(busy, idle)
+		pairs := d.mtchr.Match(d.busy, d.idle)
 		if len(pairs) == 0 {
 			if rounds == 0 {
 				rounds = 1 // the phase still pays its setup scans
@@ -548,18 +658,17 @@ func (d *Driver) balance(ctx context.Context, initPhase bool) error {
 			break
 		}
 		rounds++
-		for _, p := range pairs {
-			moved, err := d.transferPair(ctx, p.From, p.To)
-			if err != nil {
-				return err
-			}
+		if err := d.round(ctx, pairs); err != nil {
+			return err
+		}
+		for k, moved := range d.moved {
 			if moved > 0 {
 				transfers++
 				if moved > maxTransfer {
 					maxTransfer = moved
 				}
 				if recordDonors {
-					donors = append(donors, p.From)
+					donors = append(donors, pairs[k].From)
 				}
 			}
 		}
@@ -599,51 +708,114 @@ func (d *Driver) balance(ctx context.Context, initPhase bool) error {
 	return nil
 }
 
-// transferPair executes one matched donor->receiver pair: shard-local
-// pairs delegate to the shard's Transfer, cross-shard pairs ship a frame.
-func (d *Driver) transferPair(ctx context.Context, from, to int) (int, error) {
-	si, ri := d.shardOf[from], d.shardOf[to]
-	if si == ri {
-		moved, err := d.shards[si].Transfer(ctx, from, to)
-		if err != nil {
-			return 0, fmt.Errorf("steal: shard %d transfer %d->%d: %w", si, from, to, err)
+// round executes one matching round in two concurrent fan-outs and leaves
+// the nodes each pair moved in d.moved.  First every shard holding a
+// donor gets one batch of its local transfers and donor-side splits, in
+// pair order, with donation ids minted in pair order; then every shard
+// receiving a donation gets one batch of its frames.  The pairs of a
+// round are disjoint, so each shard's order is the single-machine order
+// restricted to the shard and the schedule is unchanged.
+func (d *Driver) round(ctx context.Context, pairs []scan.Pair) error {
+	d.rounds++
+	want := d.cfg.Scheme.Multi
+	for i := range d.shards {
+		d.roundBatches[i] = Batch{Ops: d.roundBatches[i].Ops[:0], WantFlags: want}
+		d.absorbBatches[i] = Batch{Frames: d.absorbBatches[i].Frames[:0], WantFlags: want}
+		d.framePair[i] = d.framePair[i][:0]
+	}
+	d.slot = d.slot[:0]
+	for _, p := range pairs {
+		si := d.shardOf[p.From]
+		op := Op{From: p.From, To: p.To}
+		if d.shardOf[p.To] != si {
+			op.Split, op.Donation = true, d.seq
+			d.seq++
 		}
-		if moved > 0 {
+		d.slot = append(d.slot, len(d.roundBatches[si].Ops))
+		d.roundBatches[si].Ops = append(d.roundBatches[si].Ops, op)
+	}
+	if err := d.applyAll(ctx, d.roundBatches, "round"); err != nil {
+		return err
+	}
+
+	d.moved = d.moved[:0]
+	for k, p := range pairs {
+		si, j := d.shardOf[p.From], d.slot[k]
+		op, res := d.roundBatches[si].Ops[j], &d.results[si]
+		moved := res.Moved[j]
+		d.moved = append(d.moved, moved)
+		switch {
+		case moved == 0:
+		case !op.Split:
 			d.localTransfers++
+		case len(res.Stacks[j]) == 0:
+			return fmt.Errorf("steal: shard %d split %d nodes for donation %d but sent no stack", si, moved, op.Donation)
+		default:
+			frame, err := EncodeFrame(&Frame{
+				Key:      d.cfg.Key,
+				Codec:    d.cfg.Meta.Codec,
+				Donation: op.Donation,
+				Cycle:    d.stats.Cycles,
+				From:     p.From,
+				To:       p.To,
+				Stack:    res.Stacks[j],
+			})
+			if err != nil {
+				return err
+			}
+			ri := d.shardOf[p.To]
+			d.absorbBatches[ri].Frames = append(d.absorbBatches[ri].Frames, frame)
+			d.framePair[ri] = append(d.framePair[ri], k)
 		}
-		return moved, nil
 	}
-	id := d.seq
-	d.seq++
-	payload, moved, err := d.shards[si].Split(ctx, id, from, to)
-	if err != nil {
-		return 0, fmt.Errorf("steal: shard %d split PE %d: %w", si, from, err)
+	if err := d.applyAll(ctx, d.absorbBatches, "absorb"); err != nil {
+		return err
 	}
-	if moved == 0 {
-		return 0, nil
+	for ri, ks := range d.framePair {
+		for j, k := range ks {
+			if got := d.results[ri].Absorbed[j]; got != d.moved[k] {
+				return fmt.Errorf("steal: PE %d donated %d nodes but shard %d absorbed %d", pairs[k].From, d.moved[k], ri, got)
+			}
+			d.donations++
+		}
 	}
-	f := &Frame{
-		Key:      d.cfg.Key,
-		Codec:    d.cfg.Meta.Codec,
-		Donation: id,
-		Cycle:    d.stats.Cycles,
-		From:     from,
-		To:       to,
-		Stack:    payload,
+	return nil
+}
+
+// applyAll sends every non-empty batch to its shard concurrently, checks
+// the results' shapes, and copies any returned flags into the global
+// vectors.
+func (d *Driver) applyAll(ctx context.Context, batches []Batch, what string) error {
+	var wg sync.WaitGroup
+	for i := range batches {
+		if len(batches[i].Ops)+len(batches[i].Frames) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d.results[i], d.errs[i] = d.shards[i].Apply(ctx, batches[i])
+		}(i)
 	}
-	b, err := EncodeFrame(f)
-	if err != nil {
-		return 0, err
+	wg.Wait()
+	for i, b := range batches {
+		if len(b.Ops)+len(b.Frames) == 0 {
+			continue
+		}
+		if err := d.errs[i]; err != nil {
+			return fmt.Errorf("steal: shard %d %s: %w", i, what, err)
+		}
+		r := &d.results[i]
+		if err := r.answers(&b); err != nil {
+			return fmt.Errorf("steal: shard %d %s: %w", i, what, err)
+		}
+		if b.WantFlags {
+			if err := d.setFlags(i, r.Busy, r.Idle); err != nil {
+				return err
+			}
+		}
 	}
-	got, err := d.shards[ri].Absorb(ctx, b)
-	if err != nil {
-		return 0, fmt.Errorf("steal: shard %d absorb donation %d: %w", ri, id, err)
-	}
-	if got != moved {
-		return 0, fmt.Errorf("steal: donation %d split %d nodes but absorbed %d", id, moved, got)
-	}
-	d.donations++
-	return moved, nil
+	return nil
 }
 
 // checkBudget mirrors Machine.checkBudget.

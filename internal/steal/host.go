@@ -25,16 +25,11 @@ type Host interface {
 	// Flags returns the busy (splittable) and idle (empty) flags of the
 	// shard's PEs; index i covers global PE lo+i.
 	Flags() (busy, idle []bool)
-	// Transfer performs a local donor-to-receiver transfer between two
-	// PEs of this shard and returns the nodes moved.
-	Transfer(from, to int) (int, error)
-	// Split splits PE from's stack for donation id addressed to global PE
-	// to, returning the wire-encoded donated half and its node count; an
-	// unsplittable donor returns (nil, 0, nil).
-	Split(id uint64, from, to int) ([]byte, int, error)
-	// Absorb validates an encoded frame and installs its stack into the
-	// addressed idle PE, returning the nodes absorbed.
-	Absorb(frame []byte) (int, error)
+	// Apply validates a whole batch — PEs in range and pairwise
+	// disjoint, no transfer onto its donor, idle receivers, frames that
+	// decode — and only then applies it in order; a batch it refuses
+	// fails with ErrBadBatch and changes nothing.
+	Apply(b Batch) (BatchResult, error)
 	// Export returns the wire payloads of the shard's [lo, hi) stacks and
 	// the domain state (nil for stateless domains).
 	Export() (stacks [][]byte, domainState []byte, err error)
@@ -49,8 +44,11 @@ type host[S any] struct {
 	m     *simd.Machine[S]
 	d     search.Domain[S]
 	codec wire.Codec[S]
+	p     int
 	lo    int
 	hi    int
+	// claimed is Apply's scratch: the shard PEs a batch has named.
+	claimed []bool
 }
 
 // NewHost builds the shard machine for PE range [lo, hi) of a P-processor
@@ -110,7 +108,7 @@ func NewHost[S any](d search.Domain[S], codec wire.Codec[S], schemeLabel string,
 			return nil, err
 		}
 	}
-	return &host[S]{m: m, d: d, codec: codec, lo: lo, hi: hi}, nil
+	return &host[S]{m: m, d: d, codec: codec, p: opts.P, lo: lo, hi: hi, claimed: make([]bool, hi-lo)}, nil
 }
 
 func (h *host[S]) Range() (int, int) { return h.lo, h.hi }
@@ -131,55 +129,120 @@ func (h *host[S]) Flags() (busy, idle []bool) {
 	return busy, idle
 }
 
-// inRange validates a global PE index against the shard range.
-func (h *host[S]) inRange(pe int) error {
-	if pe < h.lo || pe >= h.hi {
-		return fmt.Errorf("steal: PE %d outside shard range [%d, %d)", pe, h.lo, h.hi)
+func (h *host[S]) Apply(b Batch) (BatchResult, error) {
+	donations, err := h.validate(b)
+	if err != nil {
+		return BatchResult{}, err
 	}
-	return nil
+	res := BatchResult{Moved: make([]int, len(b.Ops)), Stacks: make([][]byte, len(b.Ops)), Absorbed: make([]int, len(donations))}
+	// Validation leaves nothing for the machine to refuse: the PEs are
+	// disjoint, so each op sees the state validate checked.
+	for i, op := range b.Ops {
+		if !op.Split {
+			if res.Moved[i], err = h.m.TransferLocal(op.From, op.To); err != nil {
+				return BatchResult{}, err
+			}
+			continue
+		}
+		d, err := h.m.Donate(op.Donation, op.From, op.To)
+		if err != nil {
+			return BatchResult{}, err
+		}
+		if n := d.Stack.Size(); n > 0 {
+			res.Moved[i], res.Stacks[i] = n, wire.EncodeStack(h.codec, d.Stack)
+		}
+	}
+	for i, d := range donations {
+		if res.Absorbed[i], err = h.m.Absorb(d); err != nil {
+			return BatchResult{}, err
+		}
+	}
+	if b.WantFlags {
+		res.Busy, res.Idle = h.Flags()
+	}
+	return res, nil
 }
 
-func (h *host[S]) Transfer(from, to int) (int, error) {
-	if err := h.inRange(from); err != nil {
-		return 0, err
+// validate checks a whole batch against the shard's state and decodes its
+// frames into donations, touching nothing.
+func (h *host[S]) validate(b Batch) ([]simd.Donation[S], error) {
+	if len(b.Ops) > 0 && len(b.Frames) > 0 {
+		return nil, fmt.Errorf("%w: %d ops and %d frames in one batch", ErrBadBatch, len(b.Ops), len(b.Frames))
 	}
-	if err := h.inRange(to); err != nil {
-		return 0, err
+	clear(h.claimed)
+	// claim marks a shard PE the batch names, refusing PEs outside the
+	// shard and PEs named twice.
+	claim := func(pe int, what string) error {
+		if pe < h.lo || pe >= h.hi {
+			return fmt.Errorf("%w: %s PE %d outside shard range [%d, %d)", ErrBadBatch, what, pe, h.lo, h.hi)
+		}
+		if h.claimed[pe-h.lo] {
+			return fmt.Errorf("%w: PE %d named twice", ErrBadBatch, pe)
+		}
+		h.claimed[pe-h.lo] = true
+		return nil
 	}
-	return h.m.TransferLocal(from, to)
-}
-
-func (h *host[S]) Split(id uint64, from, to int) ([]byte, int, error) {
-	if err := h.inRange(from); err != nil {
-		return nil, 0, err
+	// remote checks a PE that must lie on another shard of the machine.
+	remote := func(pe int, what string) error {
+		if pe < 0 || pe >= h.p || (pe >= h.lo && pe < h.hi) {
+			return fmt.Errorf("%w: %s PE %d is not on another shard of P=%d", ErrBadBatch, what, pe, h.p)
+		}
+		return nil
 	}
-	d, err := h.m.Donate(id, from, to)
-	if err != nil {
-		return nil, 0, err
+	idle := func(pe int) error {
+		if !h.m.Arena().Empty(pe) {
+			return fmt.Errorf("%w: %w: PE %d", ErrBadBatch, simd.ErrReceiverBusy, pe)
+		}
+		return nil
 	}
-	n := d.Stack.Size()
-	if n == 0 {
-		return nil, 0, nil
+	for i, op := range b.Ops {
+		if op.From == op.To {
+			return nil, fmt.Errorf("%w: op %d: %w: PE %d", ErrBadBatch, i, simd.ErrSelfTransfer, op.From)
+		}
+		if err := claim(op.From, "donor"); err != nil {
+			return nil, err
+		}
+		if op.Split {
+			if err := remote(op.To, "split receiver"); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if err := claim(op.To, "receiver"); err != nil {
+			return nil, err
+		}
+		if err := idle(op.To); err != nil {
+			return nil, err
+		}
 	}
-	return wire.EncodeStack(h.codec, d.Stack), n, nil
-}
-
-func (h *host[S]) Absorb(frame []byte) (int, error) {
-	f, err := DecodeFrame(frame)
-	if err != nil {
-		return 0, err
+	donations := make([]simd.Donation[S], len(b.Frames))
+	for i, raw := range b.Frames {
+		f, err := DecodeFrame(raw)
+		if err != nil {
+			return nil, fmt.Errorf("%w: frame %d: %w", ErrBadBatch, i, err)
+		}
+		if f.Codec != h.codec.Name() {
+			return nil, fmt.Errorf("%w: frame %d stack encoded with codec %q, shard uses %q", ErrBadBatch, i, f.Codec, h.codec.Name())
+		}
+		if i > 0 && f.Donation <= donations[i-1].ID {
+			return nil, fmt.Errorf("%w: frame %d donation %d out of order after %d", ErrBadBatch, i, f.Donation, donations[i-1].ID)
+		}
+		if err := remote(f.From, "frame donor"); err != nil {
+			return nil, err
+		}
+		if err := claim(f.To, "frame receiver"); err != nil {
+			return nil, err
+		}
+		if err := idle(f.To); err != nil {
+			return nil, err
+		}
+		s, err := wire.DecodeStack(h.codec, f.Stack)
+		if err != nil {
+			return nil, fmt.Errorf("%w: frame %d stack: %w", ErrBadBatch, i, err)
+		}
+		donations[i] = simd.Donation[S]{ID: f.Donation, From: f.From, To: f.To, Stack: s}
 	}
-	if f.Codec != h.codec.Name() {
-		return 0, fmt.Errorf("steal: frame stacks encoded with codec %q, shard uses %q", f.Codec, h.codec.Name())
-	}
-	if err := h.inRange(f.To); err != nil {
-		return 0, err
-	}
-	s, err := wire.DecodeStack(h.codec, f.Stack)
-	if err != nil {
-		return 0, fmt.Errorf("steal: frame stack: %w", err)
-	}
-	return h.m.Absorb(simd.Donation[S]{ID: f.Donation, From: f.From, To: f.To, Stack: s})
+	return donations, nil
 }
 
 func (h *host[S]) Export() ([][]byte, []byte, error) {

@@ -17,7 +17,8 @@ import (
 
 // Wire types of the shard-session protocol.  []byte fields travel as
 // base64 strings (encoding/json's default), which keeps the protocol
-// JSON-debuggable; the hot absorb path ships raw frame bytes instead.
+// JSON-debuggable; the hot load-balancing path — flags, round and absorb
+// batches — travels in the binary batch encoding instead (batch.go).
 type (
 	// OpenResponse answers opening a shard session.
 	OpenResponse struct {
@@ -34,32 +35,6 @@ type (
 		Peak     int   `json:"peak"`
 		AllEmpty bool  `json:"all_empty"`
 		AnyDonor bool  `json:"any_donor"`
-	}
-	// FlagsResponse carries the shard's busy/idle flags.
-	FlagsResponse struct {
-		Busy []bool `json:"busy"`
-		Idle []bool `json:"idle"`
-	}
-	// TransferRequest asks for a shard-local transfer.
-	TransferRequest struct {
-		From int `json:"from"`
-		To   int `json:"to"`
-	}
-	// MovedResponse reports nodes moved by a transfer or absorb.
-	MovedResponse struct {
-		Moved int `json:"moved"`
-	}
-	// SplitRequest asks the donor shard to split a stack for donation.
-	SplitRequest struct {
-		Donation uint64 `json:"donation"`
-		From     int    `json:"from"`
-		To       int    `json:"to"`
-	}
-	// SplitResponse carries the donated half; Stack is empty when the
-	// donor was unsplittable.
-	SplitResponse struct {
-		Moved int    `json:"moved"`
-		Stack []byte `json:"stack,omitempty"`
 	}
 	// ExportResponse carries the shard's stack payloads and domain state.
 	ExportResponse struct {
@@ -137,21 +112,26 @@ func (s *HTTPShard) url(suffix string) string {
 	return s.base + "/v1/steal/sessions/" + url.PathEscape(s.id) + suffix
 }
 
-// roundTrip issues one session request and decodes a JSON response into
-// out (when non-nil).
-func (s *HTTPShard) roundTrip(ctx context.Context, method, u, contentType string, body []byte, out any) error {
+// send issues one session request.
+func (s *HTTPShard) send(ctx context.Context, method, u, contentType string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := s.client.Do(req)
+	return s.client.Do(req)
+}
+
+// roundTrip issues one session request and decodes a JSON response into
+// out (when non-nil).
+func (s *HTTPShard) roundTrip(ctx context.Context, method, u, contentType string, body []byte, out any) error {
+	resp, err := s.send(ctx, method, u, contentType, body)
 	if err != nil {
 		return err
 	}
@@ -159,6 +139,27 @@ func (s *HTTPShard) roundTrip(ctx context.Context, method, u, contentType string
 		return drain(resp)
 	}
 	return readJSON(resp, out)
+}
+
+// batchTrip issues one session request answered by a binary batch result.
+func (s *HTTPShard) batchTrip(ctx context.Context, method, suffix string, body []byte) (*BatchResult, error) {
+	contentType := ""
+	if body != nil {
+		contentType = BatchContentType
+	}
+	resp, err := s.send(ctx, method, s.url(suffix), contentType, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, MaxBatchSize+1))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, statusError(resp.StatusCode, b)
+	}
+	return DecodeBatchResult(b)
 }
 
 // post sends a JSON body (when in is non-nil) and decodes a JSON response.
@@ -191,46 +192,53 @@ func (s *HTTPShard) Step(ctx context.Context) (simd.CycleInfo, error) {
 	}, nil
 }
 
-// Flags implements Shard.
+// Flags implements Shard; the flags travel as packed words.
 func (s *HTTPShard) Flags(ctx context.Context) ([]bool, []bool, error) {
-	var fr FlagsResponse
-	if err := s.roundTrip(ctx, http.MethodGet, s.url("/flags"), "", nil, &fr); err != nil {
+	r, err := s.batchTrip(ctx, http.MethodGet, "/flags", nil)
+	if err != nil {
 		return nil, nil, err
 	}
-	return fr.Busy, fr.Idle, nil
+	if r.Busy == nil {
+		return nil, nil, fmt.Errorf("steal: node %s answered flags without flags", s.base)
+	}
+	return r.Busy, r.Idle, nil
 }
 
-// Transfer implements Shard.
+// Apply implements BatchShard: a round batch goes to the session's
+// /round endpoint and an absorb batch to /absorb, one request each.
+func (s *HTTPShard) Apply(ctx context.Context, b Batch) (BatchResult, error) {
+	body, err := EncodeBatch(&b)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	suffix := "/round"
+	if len(b.Frames) > 0 {
+		suffix = "/absorb"
+	}
+	r, err := s.batchTrip(ctx, http.MethodPost, suffix, body)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	if err := r.answers(&b); err != nil {
+		return BatchResult{}, fmt.Errorf("steal: node %s: %w", s.base, err)
+	}
+	return *r, nil
+}
+
+// Transfer implements Shard as a one-element round.
 func (s *HTTPShard) Transfer(ctx context.Context, from, to int) (int, error) {
-	var mr MovedResponse
-	if err := s.post(ctx, "/transfer", TransferRequest{From: from, To: to}, &mr); err != nil {
-		return 0, err
-	}
-	return mr.Moved, nil
+	return transferOne(ctx, s, from, to)
 }
 
-// Split implements Shard.
+// Split implements Shard as a one-element round.
 func (s *HTTPShard) Split(ctx context.Context, id uint64, from, to int) ([]byte, int, error) {
-	var sr SplitResponse
-	if err := s.post(ctx, "/split", SplitRequest{Donation: id, From: from, To: to}, &sr); err != nil {
-		return nil, 0, err
-	}
-	if sr.Moved == 0 {
-		return nil, 0, nil
-	}
-	if len(sr.Stack) == 0 {
-		return nil, 0, fmt.Errorf("steal: node %s split %d nodes but sent no stack", s.base, sr.Moved)
-	}
-	return sr.Stack, sr.Moved, nil
+	return splitOne(ctx, s, id, from, to)
 }
 
-// Absorb implements Shard, shipping the frame bytes raw.
+// Absorb implements Shard as a one-element absorb batch; the frame bytes
+// travel unchanged.
 func (s *HTTPShard) Absorb(ctx context.Context, frame []byte) (int, error) {
-	var mr MovedResponse
-	if err := s.roundTrip(ctx, http.MethodPost, s.url("/absorb"), ContentType, frame, &mr); err != nil {
-		return 0, err
-	}
-	return mr.Moved, nil
+	return absorbOne(ctx, s, frame)
 }
 
 // Export implements Shard.
